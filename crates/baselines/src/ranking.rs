@@ -10,13 +10,13 @@ use repsim_graph::{Graph, LabelId, NodeId};
 /// `(label, value)` key is greater (worse). Scores are pre-filtered
 /// finite, and the comparison mirrors the full sort's `partial_cmp`
 /// exactly (`-0.0 == 0.0`), so both paths break ties identically.
-struct HeapEntry {
+struct HeapEntry<'g> {
     score: f64,
-    key: (String, String),
+    key: (&'g str, &'g str),
     node: NodeId,
 }
 
-impl Ord for HeapEntry {
+impl Ord for HeapEntry<'_> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Scores are finite by construction; a NaN would tie, not panic.
         other
@@ -27,19 +27,19 @@ impl Ord for HeapEntry {
     }
 }
 
-impl PartialOrd for HeapEntry {
+impl PartialOrd for HeapEntry<'_> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl PartialEq for HeapEntry {
+impl PartialEq for HeapEntry<'_> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
 
-impl Eq for HeapEntry {}
+impl Eq for HeapEntry<'_> {}
 
 /// A ranked similarity answer list: `(entity, score)` pairs in
 /// descending-score order, score ties broken ascending by the entity's
@@ -72,10 +72,10 @@ impl RankedList {
             };
         }
         // When k is small relative to the candidate count, a bounded heap
-        // keeps only k entries and materializes the allocation-heavy
-        // (label, value) sort key per kept or score-tied candidate instead
-        // of per comparison. The two paths order identically (the unit
-        // tests pin equality), so the cutover is purely a cost choice.
+        // keeps only k entries and looks up the (label, value) sort key
+        // per kept or score-tied candidate. Keys are borrowed from the
+        // graph, never allocated. The two paths order identically (the
+        // unit tests pin equality), so the cutover is purely a cost choice.
         if k.saturating_mul(4) <= entries.len() {
             return RankedList {
                 entries: Self::top_k_by_heap(g, entries, k),
@@ -85,7 +85,7 @@ impl RankedList {
             // Scores are finite by construction; a NaN would tie, not panic.
             sb.partial_cmp(&sa)
                 .unwrap_or(Ordering::Equal)
-                .then_with(|| g.sort_key(a).cmp(&g.sort_key(b)))
+                .then_with(|| g.sort_key_ref(a).cmp(&g.sort_key_ref(b)))
         });
         entries.truncate(k);
         RankedList { entries }
@@ -100,7 +100,7 @@ impl RankedList {
             if heap.len() < k {
                 heap.push(HeapEntry {
                     score,
-                    key: g.sort_key(node),
+                    key: g.sort_key_ref(node),
                     node,
                 });
                 continue;
@@ -112,13 +112,13 @@ impl RankedList {
             if score < worst.score {
                 continue;
             }
-            if score == worst.score && g.sort_key(node) >= worst.key {
+            if score == worst.score && g.sort_key_ref(node) >= worst.key {
                 continue;
             }
             heap.pop();
             heap.push(HeapEntry {
                 score,
-                key: g.sort_key(node),
+                key: g.sort_key_ref(node),
                 node,
             });
         }

@@ -310,6 +310,9 @@ pub fn run_requests(
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
+    // One wire message per write: the line and its newline leave in one
+    // segment. Reused across requests.
+    let mut msg: Vec<u8> = Vec::new();
     let mut report = RunReport::default();
     let mut digest_bytes: Vec<u8> = Vec::new();
     let mut jitter_rng = opts.jitter_seed | 1;
@@ -332,8 +335,10 @@ pub fn run_requests(
         let mut attempt = 0u32;
         let outcome = loop {
             let sent_at = Instant::now();
-            writer.write_all(req.line.as_bytes())?;
-            writer.write_all(b"\n")?;
+            msg.clear();
+            msg.extend_from_slice(req.line.as_bytes());
+            msg.push(b'\n');
+            writer.write_all(&msg)?;
             writer.flush()?;
             let mut resp_line = String::new();
             if reader.read_line(&mut resp_line)? == 0 {

@@ -577,7 +577,8 @@ fn profile_mutate_leg(
 ///
 /// Runs one rpathsim ranking query end to end under an in-memory trace
 /// sink — a cold commuting-cache miss (commuting build → SpGEMM chain),
-/// a warm repeat hit, then the query-engine build and ranking — and
+/// a warm repeat hit, then the query-engine build over the cached
+/// matrix and ranking — and
 /// prints the resulting span tree plus the metrics table. `--kernel`
 /// appends a numeric-phase breakdown: how many output rows the adaptive
 /// accumulator routed to the dense tiled path vs the sparse hash path,
@@ -613,12 +614,15 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
         let exhausted =
             |e: repsim_sparse::ExecError| CliError::Command(format!("budget exhausted: {e}"));
         let mut cache = repsim_metawalk::commuting::CommutingCache::new();
-        cache
-            .try_informative_with(&g, &half, par, &budget)
+        // The cold miss hands back the segments it joined; the engine
+        // below keeps them as its factor chain instead of rebuilding.
+        let (_, segments) = cache
+            .try_informative_factored(&g, &half, par, &budget)
             .map_err(exhausted)?;
-        // Warm repeat: must be a cache hit, not a rebuild.
-        cache
-            .try_informative_with(&g, &half, par, &budget)
+        // Warm repeat: must be a cache hit, not a rebuild. The engine
+        // below ranks from this very matrix.
+        let (m_half, _) = cache
+            .try_informative_factored(&g, &half, par, &budget)
             .map_err(exhausted)?;
         // Optional persistence leg: save the index snapshot and load it
         // back so the save/load spans and duration histograms land in
@@ -654,8 +658,15 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
             )?),
             false => None,
         };
-        let mut engine = repsim_core::QueryEngine::try_with_budget(&g, half.clone(), par, &budget)
-            .map_err(exhausted)?;
+        let mut engine = repsim_core::QueryEngine::try_from_half_matrix_with(
+            &g,
+            half.clone(),
+            m_half,
+            segments,
+            par,
+            &budget,
+        )
+        .map_err(exhausted)?;
         let list = engine.rank(q, g.label_of(q), k);
         // Remove + re-add restores the walk multiset, so ranking over the
         // mutated graph must be bit-identical to the original.
@@ -727,9 +738,9 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
     }
     if args.has("kernel") {
         // Counters were reset before the run, so the totals here cover
-        // exactly the profiled work: the cold cache-miss chain build plus
-        // the query-engine build (the warm repeat is a cache hit and runs
-        // no SpGEMM).
+        // exactly the profiled work: the cold cache-miss chain build (the
+        // warm repeat is a cache hit, and the engine reuses the miss's
+        // segments, so neither runs SpGEMM).
         let reg = repsim_obs::Registry::global();
         let dense = reg.counter("repsim.sparse.spgemm.numeric.dense_rows").get();
         let sparse = reg

@@ -14,32 +14,79 @@
 //! The factorization is exact: informative-walk corrections act per hop
 //! and every hop lies entirely inside one half (the junction is a single
 //! plain-entity occurrence, so no same-label hop and no \*-run can span
-//! it). A ranking query then costs one sparse mat-vec over `M̂_q` instead
-//! of a full sparse-matrix product — the ablation benchmark quantifies
-//! the gap, and the unit tests assert score equality against
+//! it). The unit tests assert score equality against
 //! [`crate::rpathsim::RPathSim`].
+//!
+//! A ranking query needs one column of `M̂_p`: the cross counts
+//! `M̂_q · row_e(M̂_q)ᵀ`. `M̂_q` itself factors into the half walk's
+//! segment matrices `S₁⋯S_k` (one per stretch between plain entity
+//! labels, see [`try_informative_segments`]), and `M̂_q` is often far
+//! denser than its factors — `film actor film` is `A·Aᵀ` for the
+//! film×actor biadjacency `A`. The engine therefore keeps a *factor
+//! chain*: the segments when their total nnz is below `nnz(M̂_q)`, else
+//! the one-factor chain `[M̂_q]`. A rank computes `row_e(M̂_q)` left to
+//! right as sparse-row scatters and the cross counts right to left as
+//! dense-vector gathers, so it costs `O(Σ nnz(chain))` on the calling
+//! thread — no query-time threads; [`Parallelism`] governs only the
+//! build. Every count is a non-negative integer below 2⁵³, so f64
+//! arithmetic on it is exact in any association and both chains give
+//! bit-identical scores.
 
 use std::sync::Arc;
 
 use repsim_graph::{Graph, LabelId, NodeId};
-use repsim_metawalk::commuting::try_informative_commuting_with;
+use repsim_metawalk::commuting::{
+    segment_count, try_informative_factored_with, try_informative_segments,
+};
 use repsim_metawalk::MetaWalk;
+use repsim_obs::SpanGuard;
 use repsim_sparse::{Budget, Csr, ExecError, Parallelism};
 
 use repsim_baselines::ranking::{RankedList, SimilarityAlgorithm};
 
-/// R-PathSim scoring over the symmetric closure of a half meta-walk,
-/// backed by the half matrix only.
-pub struct QueryEngine<'g> {
-    g: &'g Graph,
-    half: MetaWalk,
-    /// Shared so `repsim-serve` can cache `(matrix, diag)` seeds across
-    /// graph epochs and stamp out per-request engines without copying.
+/// The graph-free state behind a [`QueryEngine`]: the half matrix, its
+/// row-norm diagonal and the factor chain ranks sweep. Cheap to clone
+/// (reference counts only), so `repsim-serve` keeps one per walk as an
+/// engine seed and stamps out a borrowing engine per request without
+/// any matrix work.
+#[derive(Clone)]
+pub struct EngineParts {
+    /// `M̂_q`, shared with the commuting cache that built it.
     m_half: Arc<Csr>,
     /// `M̂_p(e,e)` per source-label index.
     diag: Arc<Vec<f64>>,
-    /// Thread budget for builds and query-time row sweeps.
-    par: Parallelism,
+    /// The half walk's segments `S₁…S_k` when they sweep fewer entries
+    /// than `M̂_q`; `None` is the one-factor chain `[M̂_q]`.
+    segments: Option<Arc<[Csr]>>,
+    /// False when the segment build ran out of budget and the chain fell
+    /// back to `[M̂_q]` without comparing.
+    settled: bool,
+}
+
+impl EngineParts {
+    /// Whether the factor chain is the one the nnz rule picks. Parts
+    /// whose segment build ran out of budget still rank exactly (over
+    /// `[M̂_q]`), but a cache should not keep them: a later build with
+    /// budget to spare may find the sparser chain.
+    pub fn is_settled(&self) -> bool {
+        self.settled
+    }
+
+    /// The factor chain whose product is `M̂_q`.
+    fn chain(&self) -> &[Csr] {
+        match &self.segments {
+            Some(s) => s,
+            None => std::slice::from_ref(&*self.m_half),
+        }
+    }
+}
+
+/// R-PathSim scoring over the symmetric closure of a half meta-walk,
+/// backed by the half matrix and its factor chain.
+pub struct QueryEngine<'g> {
+    g: &'g Graph,
+    half: MetaWalk,
+    parts: EngineParts,
 }
 
 impl<'g> QueryEngine<'g> {
@@ -49,8 +96,8 @@ impl<'g> QueryEngine<'g> {
         Self::with_parallelism(g, half, Parallelism::default())
     }
 
-    /// [`QueryEngine::new`] with an explicit thread budget, used for both
-    /// the half-matrix build and query-time cross-count sweeps.
+    /// [`QueryEngine::new`] with an explicit thread budget for the
+    /// half-matrix build.
     pub fn with_parallelism(g: &'g Graph, half: MetaWalk, par: Parallelism) -> Self {
         #[allow(clippy::expect_used)] // documented infallible wrapper over the try_ API
         Self::try_with_budget(g, half, par, &Budget::unlimited())
@@ -66,87 +113,120 @@ impl<'g> QueryEngine<'g> {
         par: Parallelism,
         budget: &Budget,
     ) -> Result<Self, ExecError> {
-        let mut build_span = repsim_obs::span("repsim.core.engine.build");
-        if build_span.is_active() {
-            build_span.attr("half", half.to_string());
-        }
-        let m_half = try_informative_commuting_with(g, &half, par, budget)?;
-        let diag = m_half.row_sq_sums();
-        if build_span.is_active() {
-            build_span.attr("half_nnz", m_half.nnz());
-        }
-        Ok(QueryEngine {
+        let build_span = build_span(&half);
+        let (m_half, segments) = try_informative_factored_with(g, &half, par, budget)?;
+        Self::assemble(
             g,
             half,
-            m_half: Arc::new(m_half),
-            diag: Arc::new(diag),
+            m_half.into(),
+            Some(segments),
             par,
-        })
+            budget,
+            build_span,
+        )
     }
 
-    /// Constructs an engine directly from a prebuilt half matrix — the
-    /// snapshot-restore hook used by `repsim-serve`, which skips the
-    /// commuting-matrix chain entirely on a warm start.
+    /// Constructs an engine from a prebuilt half matrix (a snapshot or an
+    /// export), skipping the commuting-matrix chain; the half walk's
+    /// segments are built under `par` to pick the factor chain.
+    /// [`QueryEngine::try_from_half_matrix_with`] without a budget or
+    /// prebuilt segments.
+    pub fn try_from_half_matrix(
+        g: &'g Graph,
+        half: MetaWalk,
+        m_half: impl Into<Arc<Csr>>,
+        par: Parallelism,
+    ) -> Result<Self, ExecError> {
+        Self::try_from_half_matrix_with(g, half, m_half, None, par, &Budget::unlimited())
+    }
+
+    /// Constructs an engine from a prebuilt half matrix — the hook used
+    /// by `repsim-serve` and `repsim profile`, which take the matrix from
+    /// a commuting cache (shared, not copied,
+    /// [`repsim_metawalk::commuting::CommutingCache::try_informative_factored`])
+    /// and skip the commuting-matrix chain.
+    ///
+    /// `segments` are the half walk's segments when the caller already
+    /// has them (a cache miss just joined them); otherwise a walk with
+    /// more than one segment builds them under `par` and `budget`. A
+    /// build that runs out of budget falls back to the one-factor chain
+    /// `[M̂_q]` — still exact — and leaves the parts unsettled
+    /// ([`EngineParts::is_settled`]). A single-segment walk builds
+    /// nothing: its one segment is `M̂_q`.
     ///
     /// `m_half` must be the informative commuting matrix of `half` on
     /// `g`. Its shape is validated against the graph's label partitions
     /// here; content integrity (checksums, graph fingerprint) is the
     /// snapshot loader's job before calling.
-    pub fn try_from_half_matrix(
+    pub fn try_from_half_matrix_with(
         g: &'g Graph,
         half: MetaWalk,
-        m_half: Csr,
+        m_half: impl Into<Arc<Csr>>,
+        segments: Option<Vec<Csr>>,
         par: Parallelism,
+        budget: &Budget,
     ) -> Result<Self, ExecError> {
-        let nrows = g.nodes_of_label(half.source()).len();
-        let ncols = g.nodes_of_label(half.target()).len();
-        if m_half.nrows() != nrows || m_half.ncols() != ncols {
-            return Err(ExecError::ShapeMismatch {
-                op: "engine_restore",
-                lhs: (nrows, ncols),
-                rhs: (m_half.nrows(), m_half.ncols()),
-            });
-        }
-        let diag = m_half.row_sq_sums();
-        Ok(QueryEngine {
-            g,
-            half,
-            m_half: Arc::new(m_half),
-            diag: Arc::new(diag),
-            par,
-        })
+        let build_span = build_span(&half);
+        Self::assemble(g, half, m_half.into(), segments, par, budget, build_span)
     }
 
-    /// Constructs an engine from a shared half matrix and its precomputed
-    /// row-norm diagonal — the zero-copy epoch hook used by `repsim-serve`,
-    /// which keeps `(Arc<Csr>, Arc<Vec<f64>>)` seeds per walk and stamps
-    /// out a borrowing engine per request.
-    ///
-    /// Shape is validated like [`QueryEngine::try_from_half_matrix`];
-    /// `diag` must be `m_half.row_sq_sums()` (also length-checked).
-    pub fn try_from_shared(
+    /// Validates `m_half`'s shape, then derives the diagonal and picks the
+    /// factor chain: the segments when their total nnz is below
+    /// `nnz(M̂_q)`, the one-factor chain `[M̂_q]` otherwise.
+    fn assemble(
         g: &'g Graph,
         half: MetaWalk,
         m_half: Arc<Csr>,
-        diag: Arc<Vec<f64>>,
+        segments: Option<Vec<Csr>>,
         par: Parallelism,
+        budget: &Budget,
+        mut build_span: SpanGuard,
     ) -> Result<Self, ExecError> {
-        let nrows = g.nodes_of_label(half.source()).len();
-        let ncols = g.nodes_of_label(half.target()).len();
-        if m_half.nrows() != nrows || m_half.ncols() != ncols || diag.len() != nrows {
-            return Err(ExecError::ShapeMismatch {
-                op: "engine_restore",
-                lhs: (nrows, ncols),
-                rhs: (m_half.nrows(), m_half.ncols()),
-            });
+        if build_span.is_active() {
+            build_span.attr("half_nnz", m_half.nnz());
         }
+        check_shape(g, &half, &m_half)?;
+        let mut settled = true;
+        let segments = if segment_count(&half) < 2 {
+            None
+        } else {
+            match segments.map_or_else(|| try_informative_segments(g, &half, par, budget), Ok) {
+                Ok(s) => (s.iter().map(Csr::nnz).sum::<usize>() < m_half.nnz()).then(|| s.into()),
+                Err(e) if e.is_exhaustion() => {
+                    settled = false;
+                    None
+                }
+                Err(e) => return Err(e),
+            }
+        };
+        let diag = Arc::new(m_half.row_sq_sums());
         Ok(QueryEngine {
             g,
             half,
-            m_half,
-            diag,
-            par,
+            parts: EngineParts {
+                m_half,
+                diag,
+                segments,
+                settled,
+            },
         })
+    }
+
+    /// Constructs an engine from the parts of an earlier one
+    /// ([`QueryEngine::shared_parts`]) — the zero-copy epoch hook used by
+    /// `repsim-serve`, which keeps parts per walk and stamps out a
+    /// borrowing engine per request.
+    ///
+    /// The half matrix's shape is validated against `g` like
+    /// [`QueryEngine::try_from_half_matrix`] (a later epoch may have grown
+    /// a label the parts no longer cover).
+    pub fn try_from_shared(
+        g: &'g Graph,
+        half: MetaWalk,
+        parts: EngineParts,
+    ) -> Result<Self, ExecError> {
+        check_shape(g, &half, &parts.m_half)?;
+        Ok(QueryEngine { g, half, parts })
     }
 
     /// The half meta-walk.
@@ -158,14 +238,14 @@ impl<'g> QueryEngine<'g> {
     /// export hook ([`QueryEngine::try_from_half_matrix`] restores from
     /// it).
     pub fn half_matrix(&self) -> &Csr {
-        &self.m_half
+        &self.parts.m_half
     }
 
-    /// The shared `(matrix, diag)` pair backing this engine — cheap to
-    /// clone and free of the graph lifetime, so a server can park it in a
-    /// cache keyed by walk and graph fingerprint.
-    pub fn shared_parts(&self) -> (Arc<Csr>, Arc<Vec<f64>>) {
-        (Arc::clone(&self.m_half), Arc::clone(&self.diag))
+    /// The shared parts backing this engine — cheap to clone and free of
+    /// the graph lifetime, so a server can park them in a cache keyed by
+    /// walk and graph fingerprint.
+    pub fn shared_parts(&self) -> EngineParts {
+        self.parts.clone()
     }
 
     /// The closed meta-walk actually scored.
@@ -176,12 +256,12 @@ impl<'g> QueryEngine<'g> {
     /// The R-PathSim score of a pair under the closure.
     pub fn score(&self, e: NodeId, f: NodeId) -> f64 {
         let (i, j) = (self.g.index_in_label(e), self.g.index_in_label(f));
-        let denom = self.diag[i] + self.diag[j];
+        let denom = self.parts.diag[i] + self.parts.diag[j];
         if denom == 0.0 {
             return 0.0;
         }
-        let (ci, vi) = self.m_half.row(i);
-        let (cj, vj) = self.m_half.row(j);
+        let (ci, vi) = self.parts.m_half.row(i);
+        let (cj, vj) = self.parts.m_half.row(j);
         let mut dot = 0.0;
         let (mut a, mut b) = (0, 0);
         while a < ci.len() && b < cj.len() {
@@ -198,54 +278,54 @@ impl<'g> QueryEngine<'g> {
         2.0 * dot / denom
     }
 
-    /// All cross counts `M̂_p(e, ·)` for one query, via a single pass over
-    /// the half matrix (the sparse mat-vec path used by `rank`).
-    ///
-    /// The row sweep splits into contiguous bands across the thread
-    /// budget; each band writes a disjoint slice of the output, so the
-    /// result is identical for any thread count.
-    fn cross_counts(&self, e: NodeId) -> Vec<f64> {
-        let qi = self.g.index_in_label(e);
-        let (qc, qv) = self.m_half.row(qi);
-        // dot of every row with row_e: accumulate column contributions.
-        let mut weights = vec![0.0; self.m_half.ncols()];
-        for (&c, &v) in qc.iter().zip(qv) {
-            weights[c as usize] = v;
-        }
-        let nrows = self.m_half.nrows();
-        let mut out = vec![0.0; nrows];
-        // Banding pays off only when the sweep dwarfs thread start-up.
-        let threads = if self.m_half.nnz() < 4096 {
-            1
-        } else {
-            self.par.threads()
+    /// All cross counts `M̂_p(e, ·) = M̂_q · row_e(M̂_q)ᵀ` for the query at
+    /// source index `qi`, through the factor chain `S₁⋯S_k`:
+    /// `row_e(M̂_q) = row_e(S₁)·S₂⋯S_k` left to right, then
+    /// `S₁·(S₂·(⋯(S_k·x)))` right to left. One pass per factor on the
+    /// calling thread.
+    fn cross_counts(&self, qi: usize) -> Vec<f64> {
+        let chain = self.parts.chain();
+        let Some((first, rest)) = chain.split_first() else {
+            return Vec::new(); // unreachable: a chain has at least one factor
         };
-        let bands = repsim_sparse::par::chunks(nrows, threads);
-        let sweep = |lo: usize, band: &mut [f64]| {
-            for (r, o) in (lo..).zip(band.iter_mut()) {
-                let (cols, vals) = self.m_half.row(r);
-                let mut sum = 0.0;
-                for (&c, &v) in cols.iter().zip(vals) {
-                    sum += v * weights[c as usize];
-                }
-                *o = sum;
-            }
-        };
-        if bands.len() <= 1 {
-            sweep(0, &mut out);
-        } else {
-            let mut rest = out.as_mut_slice();
-            std::thread::scope(|scope| {
-                for &(lo, hi) in &bands {
-                    let (band, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
-                    rest = tail;
-                    let sweep = &sweep;
-                    scope.spawn(move || sweep(lo, band));
-                }
-            });
+        let mut x = vec![0.0; first.ncols()];
+        let (cols, vals) = first.row(qi);
+        for (&c, &v) in cols.iter().zip(vals) {
+            x[c as usize] = v;
         }
-        out
+        for s in rest {
+            x = repsim_sparse::ops::vecmat(&x, s);
+        }
+        for s in chain.iter().rev() {
+            x = repsim_sparse::ops::matvec(s, &x);
+        }
+        x
     }
+}
+
+/// The `repsim.core.engine.build` span, opened before the half matrix
+/// is built or taken so it covers the whole engine build.
+fn build_span(half: &MetaWalk) -> SpanGuard {
+    let mut span = repsim_obs::span("repsim.core.engine.build");
+    if span.is_active() {
+        span.attr("half", half.to_string());
+    }
+    span
+}
+
+/// Rejects a half matrix whose shape does not match `half`'s endpoint
+/// labels on `g`.
+fn check_shape(g: &Graph, half: &MetaWalk, m_half: &Csr) -> Result<(), ExecError> {
+    let nrows = g.nodes_of_label(half.source()).len();
+    let ncols = g.nodes_of_label(half.target()).len();
+    if m_half.nrows() != nrows || m_half.ncols() != ncols {
+        return Err(ExecError::ShapeMismatch {
+            op: "engine_restore",
+            lhs: (nrows, ncols),
+            rhs: (m_half.nrows(), m_half.ncols()),
+        });
+    }
+    Ok(())
 }
 
 impl QueryEngine<'_> {
@@ -283,19 +363,23 @@ impl QueryEngine<'_> {
         );
         let mut rank_span = repsim_obs::span("repsim.core.engine.rank");
         if rank_span.is_active() {
+            let chain = self.parts.chain();
             rank_span.attr("k", k);
-            rank_span.attr("half_nnz", self.m_half.nnz());
+            rank_span.attr("half_nnz", self.parts.m_half.nnz());
+            rank_span.attr("factors", chain.len());
+            rank_span.attr("chain_nnz", chain.iter().map(Csr::nnz).sum::<usize>());
         }
         let qi = self.g.index_in_label(query);
-        let cross = self.cross_counts(query);
-        let qd = self.diag[qi];
+        let cross = self.cross_counts(qi);
+        let diag = &self.parts.diag;
+        let qd = diag[qi];
         let candidates = self.g.nodes_of_label(target_label);
         let (lo, hi) = band.unwrap_or((0, candidates.len()));
         RankedList::from_scores(
             self.g,
             candidates[lo..hi].iter().map(|&n| {
                 let j = self.g.index_in_label(n);
-                let denom = qd + self.diag[j];
+                let denom = qd + diag[j];
                 let s = if denom == 0.0 {
                     0.0
                 } else {
@@ -386,6 +470,37 @@ mod tests {
                 engine.rank(q, conf, 10).keyed(&g),
                 full.rank(q, conf, 10).keyed(&g)
             );
+        }
+    }
+
+    #[test]
+    fn segment_build_out_of_budget_falls_back_to_the_half_matrix() {
+        let g = mas_like();
+        let conf = g.labels().get("conf").unwrap();
+        let expired = Budget::unlimited().with_deadline_ms(0);
+        for (half_text, segments) in [("conf paper dom kw", 3), ("conf paper", 1)] {
+            let half = MetaWalk::parse_in(&g, half_text).unwrap();
+            assert_eq!(segment_count(&half), segments);
+            let full = QueryEngine::new(&g, half.clone());
+            let m = full.half_matrix().clone();
+            let cut = QueryEngine::try_from_half_matrix_with(
+                &g,
+                half,
+                m,
+                None,
+                Parallelism::serial(),
+                &expired,
+            )
+            .unwrap();
+            // A single-segment walk builds nothing, so nothing runs out.
+            assert_eq!(cut.parts.is_settled(), segments == 1, "{half_text}");
+            assert_eq!(cut.parts.chain().len(), 1, "{half_text}");
+            for &q in g.nodes_of_label(conf) {
+                assert_eq!(
+                    cut.rank_ref(q, conf, 10).keyed(&g),
+                    full.rank_ref(q, conf, 10).keyed(&g)
+                );
+            }
         }
     }
 

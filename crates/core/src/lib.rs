@@ -23,8 +23,8 @@
 //!   who cannot supply a meta-walk: the mean of per-meta-walk scores over a
 //!   meta-walk set (§4.3's closing discussion, §5.2);
 //! * [`engine::QueryEngine`] — §4.3's query-time optimization: symmetric
-//!   closures factorize as `M̂_p = M̂_q·M̂_qᵀ`, so ranking needs only the
-//!   half-walk matrix;
+//!   closures factorize as `M̂_p = M̂_q·M̂_qᵀ`, so a rank is a few mat-vecs
+//!   over the half walk's factor chain;
 //! * [`independence`] — an executable check of Definition 2: run an
 //!   algorithm over a database and its transformation and verify the
 //!   rankings coincide under the entity bijection;
@@ -44,7 +44,7 @@ pub mod rpathsim;
 
 pub use aggregate::{AggregatedScorer, CountingMode};
 pub use budgeted::{BudgetedRPathSim, Degradation};
-pub use engine::QueryEngine;
+pub use engine::{EngineParts, QueryEngine};
 pub use explain::{explain, Evidence};
 pub use metawalk_gen::{extend_meta_walk, find_meta_walk_set};
 pub use planner::{choose_plan, AutoRPathSim, Plan};

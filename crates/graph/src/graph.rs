@@ -146,9 +146,17 @@ impl Graph {
     /// `(label name, value)`. Used for representation-independent
     /// tie-breaking in rankings.
     pub fn sort_key(&self, n: NodeId) -> (String, String) {
+        let (label, value) = self.sort_key_ref(n);
+        (label.to_owned(), value.to_owned())
+    }
+
+    /// [`Graph::sort_key`] borrowed from the graph, for comparisons that
+    /// should not allocate. `str` orders like `String`, so both keys sort
+    /// identically.
+    pub fn sort_key_ref(&self, n: NodeId) -> (&str, &str) {
         (
-            self.labels.name(self.label_of(n)).to_owned(),
-            self.value_of(n).unwrap_or_default().to_owned(),
+            self.labels.name(self.label_of(n)),
+            self.value_of(n).unwrap_or_default(),
         )
     }
 }

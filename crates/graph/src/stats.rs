@@ -98,7 +98,7 @@ pub fn entities_by_degree(g: &Graph, label: LabelId) -> Vec<NodeId> {
     nodes.sort_by(|&a, &b| {
         g.degree(b)
             .cmp(&g.degree(a))
-            .then_with(|| g.sort_key(a).cmp(&g.sort_key(b)))
+            .then_with(|| g.sort_key_ref(a).cmp(&g.sort_key_ref(b)))
     });
     nodes
 }

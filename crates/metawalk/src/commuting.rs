@@ -21,6 +21,7 @@
 //! \*-marked entity labels (including its flanking hops) is binarized.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use repsim_graph::biadjacency::biadjacency;
 use repsim_graph::{Graph, LabelId};
@@ -72,7 +73,7 @@ pub fn try_plain_commuting_with(
             message: "plain commuting matrices cannot use *-labels".to_owned(),
         });
     }
-    compute(g, mw, false, par, budget)
+    compute(g, mw, false, par, budget).map(|(m, _)| m)
 }
 
 /// Computes the informative commuting matrix `M̂_p` (informative instances
@@ -98,21 +99,95 @@ pub fn try_informative_commuting_with(
     par: Parallelism,
     budget: &Budget,
 ) -> Result<Csr, ExecError> {
+    compute(g, mw, true, par, budget).map(|(m, _)| m)
+}
+
+/// [`try_informative_commuting_with`], also handing back the segment
+/// matrices it joined (see [`try_informative_segments`]) — empty when
+/// the walk has a single segment, which is the product itself. A query
+/// engine keeps them as its factor chain, so a cold build runs each
+/// segment's products once.
+pub fn try_informative_factored_with(
+    g: &Graph,
+    mw: &MetaWalk,
+    par: Parallelism,
+    budget: &Budget,
+) -> Result<(Csr, Vec<Csr>), ExecError> {
     compute(g, mw, true, par, budget)
 }
 
+/// The number of segments [`try_informative_segments`] returns for `mw`,
+/// without building them: one per stretch between consecutive plain
+/// entity labels, or the one identity segment of a single-label walk.
+pub fn segment_count(mw: &MetaWalk) -> usize {
+    let plain = mw
+        .steps()
+        .iter()
+        .filter(|s| s.is_entity() && !s.is_star())
+        .count();
+    plain.saturating_sub(1).max(1)
+}
+
+/// The segment matrices `S₁…S_k` of the informative walk `mw`, whose
+/// product is `M̂_mw` — the operands [`try_informative_commuting_with`]
+/// joins in its final chain product. A segment runs from one plain
+/// entity label to the next, with its same-label hops' diagonals
+/// removed and its \*-run binarized, so no correction spans two
+/// segments and any association of the chain gives the same counts.
+/// A single-label walk has the one segment `I`.
+pub fn try_informative_segments(
+    g: &Graph,
+    mw: &MetaWalk,
+    par: Parallelism,
+    budget: &Budget,
+) -> Result<Vec<Csr>, ExecError> {
+    segments(g, mw, true, par, budget, &mut SpgemmArena::new())
+}
+
+/// The commuting matrix of `mw` and, when it has more than one, the
+/// segments joined into it.
 fn compute(
     g: &Graph,
     mw: &MetaWalk,
     informative: bool,
     par: Parallelism,
     budget: &Budget,
-) -> Result<Csr, ExecError> {
+) -> Result<(Csr, Vec<Csr>), ExecError> {
     let mut build_span = repsim_obs::span("repsim.metawalk.commuting.build");
     if build_span.is_active() {
         build_span.attr("walk", mw.to_string());
         build_span.attr("informative", informative);
     }
+    // One SpGEMM arena serves every product of the build — hop chains,
+    // segment chains, and the final join all reuse the same accumulator
+    // scratch, so a build allocates kernel workspace once per worker.
+    let mut arena = SpgemmArena::new();
+    let segments = segments(g, mw, informative, par, budget, &mut arena)?;
+    if segments.len() > 1 {
+        let refs: Vec<&Csr> = segments.iter().collect();
+        let m = try_spmm_chain_with_budget_in(&refs, par.threads(), budget, &mut arena)?;
+        return Ok((m, segments));
+    }
+    Ok((
+        chain_product(segments, par, budget, &mut arena)?,
+        Vec::new(),
+    ))
+}
+
+/// The per-segment matrices of `mw`, in walk order.
+///
+/// Hop matrices are collected per segment and binarized at the close of
+/// each \*-run. Corrections (diagonal removal per hop, binarization per
+/// segment) happen before any cross-hop or cross-segment product, so the
+/// chain planner is free to reassociate each product level.
+fn segments(
+    g: &Graph,
+    mw: &MetaWalk,
+    informative: bool,
+    par: Parallelism,
+    budget: &Budget,
+    arena: &mut SpgemmArena,
+) -> Result<Vec<Csr>, ExecError> {
     let steps = mw.steps();
     let entity_pos: Vec<usize> = (0..steps.len()).filter(|&i| steps[i].is_entity()).collect();
     debug_assert!(entity_pos.first() == Some(&0));
@@ -122,19 +197,9 @@ fn compute(
         // A single-label meta-walk: walks of length zero, one per node.
         budget.check()?;
         let n = g.nodes_of_label(mw.source()).len();
-        return Ok(Csr::identity(n));
+        return Ok(vec![Csr::identity(n)]);
     }
 
-    // Collect hop matrices per segment, binarizing at the close of each
-    // *-run, then join everything with cost-ordered chain products.
-    // Corrections (diagonal removal per hop, binarization per segment)
-    // happen before any cross-hop or cross-segment product, so the chain
-    // planner is free to reassociate each product level.
-    //
-    // One SpGEMM arena serves every product of the build — hop chains,
-    // segment chains, and the final join all reuse the same accumulator
-    // scratch, so a build allocates kernel workspace once per worker.
-    let mut arena = SpgemmArena::new();
     let mut segments: Vec<Csr> = Vec::new();
     let mut hops: Vec<Csr> = Vec::new();
     let mut segment_has_star = false;
@@ -145,14 +210,14 @@ fn compute(
             informative,
             par,
             budget,
-            &mut arena,
+            arena,
         )?);
         if steps[w[1]].is_star() {
             segment_has_star = true;
             continue;
         }
         // Arrived at a plain entity: close the current segment.
-        let mut seg = chain_product(std::mem::take(&mut hops), par, budget, &mut arena)?;
+        let mut seg = chain_product(std::mem::take(&mut hops), par, budget, arena)?;
         if segment_has_star {
             seg = seg.binarized();
             segment_has_star = false;
@@ -160,7 +225,8 @@ fn compute(
         segments.push(seg);
     }
     debug_assert!(hops.is_empty(), "meta-walk must end at a plain entity");
-    chain_product(segments, par, budget, &mut arena)
+    debug_assert_eq!(segments.len(), segment_count(mw));
+    Ok(segments)
 }
 
 /// Cost-ordered product of an owned chain (single factors pass through
@@ -230,14 +296,18 @@ pub fn count_between(
 /// same plan (final paragraph of §4.3). The cache makes repeated queries
 /// over the same meta-walk set amortize the matrix chain.
 ///
+/// Entries are reference-counted: [`CommutingCache::try_informative_factored`]
+/// hands a query engine the cached matrix itself, so a served walk keeps
+/// one copy of its matrix resident, not one per holder.
+///
 /// Budgeted misses are abort-safe: a build that fails with an
 /// [`ExecError`] inserts **nothing** — a matrix enters the cache only
 /// after its chain completed, so an aborted build can never poison later
 /// hits with a partial product (pinned by the `aborted_build_*` tests).
 #[derive(Default)]
 pub struct CommutingCache {
-    plain: HashMap<MetaWalk, Csr>,
-    informative: HashMap<MetaWalk, Csr>,
+    plain: HashMap<MetaWalk, Arc<Csr>>,
+    informative: HashMap<MetaWalk, Arc<Csr>>,
     stats: CacheStats,
 }
 
@@ -276,6 +346,20 @@ impl CommutingCache {
         CACHE_EVICTION.add(evicted);
     }
 
+    fn map(&self, kind: CacheKind) -> &HashMap<MetaWalk, Arc<Csr>> {
+        match kind {
+            CacheKind::Plain => &self.plain,
+            CacheKind::Informative => &self.informative,
+        }
+    }
+
+    fn map_mut(&mut self, kind: CacheKind) -> &mut HashMap<MetaWalk, Arc<Csr>> {
+        match kind {
+            CacheKind::Plain => &mut self.plain,
+            CacheKind::Informative => &mut self.informative,
+        }
+    }
+
     /// The plain commuting matrix of `mw`, computed on first use.
     ///
     /// Misses pay one `mw.clone()` for the key; hits are allocation-free
@@ -298,27 +382,8 @@ impl CommutingCache {
         par: Parallelism,
         budget: &Budget,
     ) -> Result<&'a Csr, ExecError> {
-        let mut lookup = repsim_obs::span("repsim.metawalk.cache.lookup");
-        let hit = self.plain.contains_key(mw);
-        if lookup.is_active() {
-            lookup.attr("kind", "plain");
-            lookup.attr("walk", mw.to_string());
-            lookup.attr("hit", hit);
-        }
-        if hit {
-            self.stats.hits += 1;
-            CACHE_HIT.add(1);
-        } else {
-            self.stats.misses += 1;
-            CACHE_MISS.add(1);
-            let m = try_plain_commuting_with(g, mw, par, budget)?;
-            self.plain.insert(mw.clone(), m);
-            self.stats.inserts += 1;
-            CACHE_INSERT.add(1);
-        }
-        #[allow(clippy::expect_used)] // hit or inserted just above
-        let m = self.plain.get(mw).expect("just inserted");
-        Ok(m)
+        self.try_get(CacheKind::Plain, g, mw, par, budget)
+            .map(|(m, _)| &**m)
     }
 
     /// The informative commuting matrix of `mw`, computed on first use.
@@ -342,27 +407,72 @@ impl CommutingCache {
         par: Parallelism,
         budget: &Budget,
     ) -> Result<&'a Csr, ExecError> {
+        self.try_get(CacheKind::Informative, g, mw, par, budget)
+            .map(|(m, _)| &**m)
+    }
+
+    /// [`CommutingCache::try_informative_with`] for a query engine: the
+    /// cached matrix itself (a reference count, not a copy), plus the
+    /// segments a miss joined into it ([`try_informative_factored_with`];
+    /// `None` on a hit), so the engine's factor chain costs no second
+    /// build.
+    pub fn try_informative_factored(
+        &mut self,
+        g: &Graph,
+        mw: &MetaWalk,
+        par: Parallelism,
+        budget: &Budget,
+    ) -> Result<(Arc<Csr>, Option<Vec<Csr>>), ExecError> {
+        self.try_get(CacheKind::Informative, g, mw, par, budget)
+            .map(|(m, segments)| (Arc::clone(m), segments))
+    }
+
+    /// The lookup behind every getter: hit, or build under `budget` and
+    /// insert on success. An informative miss also returns the segments
+    /// it joined.
+    fn try_get<'a>(
+        &'a mut self,
+        kind: CacheKind,
+        g: &Graph,
+        mw: &MetaWalk,
+        par: Parallelism,
+        budget: &Budget,
+    ) -> Result<(&'a Arc<Csr>, Option<Vec<Csr>>), ExecError> {
         let mut lookup = repsim_obs::span("repsim.metawalk.cache.lookup");
-        let hit = self.informative.contains_key(mw);
+        let hit = self.map(kind).contains_key(mw);
         if lookup.is_active() {
-            lookup.attr("kind", "informative");
+            lookup.attr(
+                "kind",
+                match kind {
+                    CacheKind::Plain => "plain",
+                    CacheKind::Informative => "informative",
+                },
+            );
             lookup.attr("walk", mw.to_string());
             lookup.attr("hit", hit);
         }
+        let mut segments = None;
         if hit {
             self.stats.hits += 1;
             CACHE_HIT.add(1);
         } else {
             self.stats.misses += 1;
             CACHE_MISS.add(1);
-            let m = try_informative_commuting_with(g, mw, par, budget)?;
-            self.informative.insert(mw.clone(), m);
+            let m = match kind {
+                CacheKind::Plain => try_plain_commuting_with(g, mw, par, budget)?,
+                CacheKind::Informative => {
+                    let (m, s) = try_informative_factored_with(g, mw, par, budget)?;
+                    segments = Some(s);
+                    m
+                }
+            };
+            self.map_mut(kind).insert(mw.clone(), Arc::new(m));
             self.stats.inserts += 1;
             CACHE_INSERT.add(1);
         }
         #[allow(clippy::expect_used)] // hit or inserted just above
-        let m = self.informative.get(mw).expect("just inserted");
-        Ok(m)
+        let m = self.map(kind).get(mw).expect("just inserted");
+        Ok((m, segments))
     }
 
     /// Number of cached matrices.
@@ -380,11 +490,11 @@ impl CommutingCache {
     pub fn entries(&self) -> impl Iterator<Item = (CacheKind, &MetaWalk, &Csr)> {
         self.plain
             .iter()
-            .map(|(mw, m)| (CacheKind::Plain, mw, m))
+            .map(|(mw, m)| (CacheKind::Plain, mw, &**m))
             .chain(
                 self.informative
                     .iter()
-                    .map(|(mw, m)| (CacheKind::Informative, mw, m)),
+                    .map(|(mw, m)| (CacheKind::Informative, mw, &**m)),
             )
     }
 
@@ -392,10 +502,7 @@ impl CommutingCache {
     /// touching hit/miss stats) — the read-only twin of the `try_*`
     /// getters for callers that degrade instead of building.
     pub fn peek(&self, kind: CacheKind, mw: &MetaWalk) -> Option<&Csr> {
-        match kind {
-            CacheKind::Plain => self.plain.get(mw),
-            CacheKind::Informative => self.informative.get(mw),
-        }
+        self.map(kind).get(mw).map(|m| &**m)
     }
 
     /// Inserts a prebuilt matrix — the snapshot import hook. The matrix
@@ -403,12 +510,8 @@ impl CommutingCache {
     /// graph (snapshot loading verifies this via checksums and graph
     /// fingerprints before calling). Counts as an insert; replaces any
     /// existing entry.
-    pub fn import(&mut self, kind: CacheKind, mw: MetaWalk, m: Csr) {
-        let map = match kind {
-            CacheKind::Plain => &mut self.plain,
-            CacheKind::Informative => &mut self.informative,
-        };
-        map.insert(mw, m);
+    pub fn import(&mut self, kind: CacheKind, mw: MetaWalk, m: impl Into<Arc<Csr>>) {
+        self.map_mut(kind).insert(mw, m.into());
         self.stats.inserts += 1;
         CACHE_INSERT.add(1);
     }
@@ -417,11 +520,7 @@ impl CommutingCache {
     /// invalidation hook used by incremental maintenance when a mutation
     /// makes a cached matrix stale.
     pub fn evict(&mut self, kind: CacheKind, mw: &MetaWalk) -> bool {
-        let map = match kind {
-            CacheKind::Plain => &mut self.plain,
-            CacheKind::Informative => &mut self.informative,
-        };
-        let removed = map.remove(mw).is_some();
+        let removed = self.map_mut(kind).remove(mw).is_some();
         if removed {
             self.stats.evictions += 1;
             CACHE_EVICTION.add(1);

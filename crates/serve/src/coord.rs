@@ -35,7 +35,7 @@
 //!    `partial-shards:A/T` and an explicit `coverage` object. Zero live
 //!    shards is the floor: a typed `shards_unavailable` error.
 
-use std::io::{Read as _, Write as _};
+use std::io::Read as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::mpsc;
@@ -51,7 +51,7 @@ use crate::protocol::{
     parse_shard_reply, render_rank_request, RankEntry, ReqId, Request, Response, ShardIdent,
     ShardReply,
 };
-use crate::server::ServeError;
+use crate::server::{write_line, ServeError};
 
 static REQUESTS: CounterHandle = CounterHandle::new("repsim.serve.coord.requests");
 static SHED: CounterHandle = CounterHandle::new("repsim.serve.coord.shed");
@@ -670,12 +670,7 @@ fn run_attempt(addr: &str, line: &str, attempt_deadline: Instant) -> AttemptOutc
     {
         return AttemptOutcome::Failed(format!("cannot arm timeouts on {addr}"));
     }
-    let mut w = &stream;
-    if let Err(e) = w
-        .write_all(line.as_bytes())
-        .and_then(|()| w.write_all(b"\n"))
-        .and_then(|()| w.flush())
-    {
+    if let Err(e) = write_line(&stream, line) {
         return AttemptOutcome::Failed(format!("send to {addr}: {e}"));
     }
     let mut acc: Vec<u8> = Vec::new();
@@ -894,10 +889,4 @@ fn coord_line(line: &str, coord: &Coordinator, shutdown: &AtomicBool) -> Option<
         },
     };
     Some(resp.to_json_line())
-}
-
-fn write_line(mut stream: &TcpStream, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
 }

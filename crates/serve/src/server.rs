@@ -652,9 +652,14 @@ fn shed_retry_hint(queue: &Bounded<Job>) -> u64 {
     10 + 5 * queue.depth() as u64
 }
 
-fn write_line(mut stream: &TcpStream, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
+/// Writes one wire message: the line and its newline from one buffer,
+/// so a message is one `write` call and, under `TCP_NODELAY`, one
+/// segment.
+pub(crate) fn write_line(mut stream: &TcpStream, line: &str) -> std::io::Result<()> {
+    let mut msg = Vec::with_capacity(line.len() + 1);
+    msg.extend_from_slice(line.as_bytes());
+    msg.push(b'\n');
+    stream.write_all(&msg)?;
     stream.flush()
 }
 

@@ -35,7 +35,7 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::time::Duration;
 
-use repsim_core::{BudgetedRPathSim, Degradation, QueryEngine};
+use repsim_core::{BudgetedRPathSim, Degradation, EngineParts, QueryEngine};
 use repsim_graph::mutation::{self, Touch};
 use repsim_graph::{Graph, LabelId, MutationOp};
 use repsim_metawalk::commuting::CommutingCache;
@@ -43,7 +43,7 @@ use repsim_metawalk::delta::{walk_mentions, walk_touches_edge, DeltaMaintainer};
 use repsim_metawalk::MetaWalk;
 use repsim_obs::CounterHandle;
 use repsim_sparse::budget::failpoints;
-use repsim_sparse::{Budget, Csr, ExecError, Parallelism};
+use repsim_sparse::{Budget, ExecError, Parallelism};
 
 use crate::breaker::{BreakerConfig, CircuitBreaker, OpClass};
 use crate::error::ServiceError;
@@ -156,13 +156,13 @@ struct IndexState {
     maintainer: DeltaMaintainer,
 }
 
-/// A cached engine seed: the shared half-matrix and diagonal for one
-/// walk, valid only for the graph whose fingerprint is `fp`. Rebuilding
-/// a [`QueryEngine`] from a seed is O(validation), not O(SpGEMM).
+/// A cached engine seed: the shared parts (half matrix, diagonal,
+/// factor chain) of one walk's engine, valid only for the graph whose
+/// fingerprint is `fp`. Rebuilding a [`QueryEngine`] from a seed is
+/// O(validation), not O(SpGEMM).
 struct Seed {
     fp: u64,
-    m: Arc<Csr>,
-    diag: Arc<Vec<f64>>,
+    parts: EngineParts,
 }
 
 /// The resident query service. See the module docs for the request
@@ -400,17 +400,26 @@ impl QueryService {
             let epoch = self.epoch_snapshot();
             match st
                 .cache
-                .try_informative_with(&epoch.g, mw, self.cfg.par, budget)
+                .try_informative_factored(&epoch.g, mw, self.cfg.par, budget)
             {
-                Ok(m) => Some((epoch, m.clone())),
+                Ok(factored) => Some((epoch, factored)),
                 Err(e) if e.is_exhaustion() => None,
                 Err(e) => return Err(e),
             }
         };
-        if let Some((epoch, m)) = built {
-            let engine = QueryEngine::try_from_half_matrix(&epoch.g, mw.clone(), m, self.cfg.par)?;
-            let (m, diag) = engine.shared_parts();
-            self.install_seed(mw, epoch.fp, m, diag);
+        if let Some((epoch, (m, segments))) = built {
+            let engine = QueryEngine::try_from_half_matrix_with(
+                &epoch.g,
+                mw.clone(),
+                m,
+                segments,
+                self.cfg.par,
+                budget,
+            )?;
+            let parts = engine.shared_parts();
+            if parts.is_settled() {
+                self.install_seed(mw, epoch.fp, parts);
+            }
             let band = self.band_for(&epoch.g, mw.source());
             let ranked = engine.rank_band_ref(query, mw.source(), k, band);
             return Ok(RankAnswer {
@@ -459,9 +468,8 @@ impl QueryService {
         query: repsim_graph::NodeId,
         k: usize,
     ) -> Option<RankAnswer> {
-        let (m, diag) = self.seed_parts(mw, epoch.fp)?;
-        let engine =
-            QueryEngine::try_from_shared(&epoch.g, mw.clone(), m, diag, self.cfg.par).ok()?;
+        let parts = self.seed_parts(mw, epoch.fp)?;
+        let engine = QueryEngine::try_from_shared(&epoch.g, mw.clone(), parts).ok()?;
         let band = self.band_for(&epoch.g, mw.source());
         let ranked = engine.rank_band_ref(query, mw.source(), k, band);
         Some(RankAnswer {
@@ -472,17 +480,32 @@ impl QueryService {
         })
     }
 
-    fn seed_parts(&self, mw: &MetaWalk, fp: u64) -> Option<(Arc<Csr>, Arc<Vec<f64>>)> {
+    fn seed_parts(&self, mw: &MetaWalk, fp: u64) -> Option<EngineParts> {
         let seeds = self.seeds.read().unwrap_or_else(|e| e.into_inner());
         seeds
             .get(mw)
             .filter(|s| s.fp == fp)
-            .map(|s| (Arc::clone(&s.m), Arc::clone(&s.diag)))
+            .map(|s| s.parts.clone())
     }
 
-    fn install_seed(&self, mw: &MetaWalk, fp: u64, m: Arc<Csr>, diag: Arc<Vec<f64>>) {
+    fn install_seed(&self, mw: &MetaWalk, fp: u64, parts: EngineParts) {
         let mut seeds = self.seeds.write().unwrap_or_else(|e| e.into_inner());
-        seeds.insert(mw.clone(), Seed { fp, m, diag });
+        seeds.insert(mw.clone(), Seed { fp, parts });
+    }
+
+    /// Drops the seeds of `stale` walks and re-tags the rest from
+    /// fingerprint `from` to `to`, in one pass under the seed lock.
+    fn retag_seeds(&self, stale: impl Fn(&MetaWalk) -> bool, from: u64, to: u64) {
+        let mut seeds = self.seeds.write().unwrap_or_else(|e| e.into_inner());
+        seeds.retain(|mw, seed| {
+            if stale(mw) {
+                return false;
+            }
+            if seed.fp == from {
+                seed.fp = to;
+            }
+            true
+        });
     }
 
     /// Applies one mutation. Returns the post-mutation fingerprint
@@ -538,6 +561,16 @@ impl QueryService {
             }
         };
 
+        // Seeds of walks the mutation touched are stale (their matrices
+        // change or their node sets grow): drop them before maintenance
+        // replaces the cache entry, so the old matrix is freed with it
+        // instead of lingering beside its replacement.
+        let stale = |mw: &MetaWalk| match touch {
+            Touch::Edge(a, b) => walk_touches_edge(mw, a, b),
+            Touch::Node(l) => walk_mentions(mw, l),
+        };
+        self.retag_seeds(stale, epoch.fp, epoch.fp);
+
         // Index maintenance never fails past this point: exhaustion and
         // the delta.apply failpoint degrade to eviction, and the entry
         // rebuilds on next use.
@@ -549,22 +582,11 @@ impl QueryService {
             }
         };
 
-        // Seeds: walks the mutation touched are invalidated (their
-        // matrices changed or their node sets grew); untouched walks
-        // keep their matrices and merely re-tag to the new fingerprint.
-        {
-            let mut seeds = self.seeds.write().unwrap_or_else(|e| e.into_inner());
-            seeds.retain(|mw, seed| {
-                let stale = match touch {
-                    Touch::Edge(a, b) => walk_touches_edge(mw, a, b),
-                    Touch::Node(l) => walk_mentions(mw, l),
-                };
-                if !stale && seed.fp == epoch.fp {
-                    seed.fp = fp_after;
-                }
-                !stale
-            });
-        }
+        // Untouched walks keep their matrices and merely re-tag to the
+        // new fingerprint. Stale seeds are dropped again: a rank that
+        // read the cache before this mutation took the state lock builds
+        // its engine outside the lock and may have installed one since.
+        self.retag_seeds(stale, epoch.fp, fp_after);
 
         // Publish the new epoch (still under the state lock, so ranks
         // building from the cache never see a graph/cache mismatch).
@@ -797,6 +819,32 @@ mod tests {
             );
             assert_eq!(a.score.to_bits(), bs.to_bits(), "bit-identical scores");
         }
+    }
+
+    #[test]
+    fn seed_installed_during_a_mutation_of_its_walk_is_dropped_not_retagged() {
+        let g = mas_like();
+        let s = svc(&g);
+        let touched = MetaWalk::parse_in(&g, "conf paper dom").unwrap();
+        let untouched = MetaWalk::parse_in(&g, "paper conf").unwrap();
+        s.handle_rank("conf paper dom", "conf", "c0", 5, None)
+            .unwrap();
+        s.handle_rank("paper conf", "paper", "p0", 5, None).unwrap();
+        let (fp0, fp1) = (s.epoch_snapshot().fp, 0xfeed);
+        let parts = s.seed_parts(&touched, fp0).unwrap();
+        // A mutation of a paper–dom edge drops the touched walk's seed
+        // before index maintenance...
+        let (paper, dom) = (touched.steps()[1].label(), touched.steps()[2].label());
+        let stale = |mw: &MetaWalk| walk_touches_edge(mw, paper, dom);
+        s.retag_seeds(stale, fp0, fp0);
+        assert!(s.seed_parts(&touched, fp0).is_none());
+        // ...then a rank that read the pre-mutation cache installs its
+        // engine, and the re-tag after maintenance must not adopt it.
+        s.install_seed(&touched, fp0, parts);
+        s.retag_seeds(stale, fp0, fp1);
+        assert!(s.seed_parts(&touched, fp0).is_none());
+        assert!(s.seed_parts(&touched, fp1).is_none());
+        assert!(s.seed_parts(&untouched, fp1).is_some());
     }
 
     #[test]

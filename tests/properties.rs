@@ -17,9 +17,14 @@
 
 use proptest::prelude::*;
 use repsim::prelude::*;
+use repsim_core::QueryEngine;
 use repsim_eval::top_k_kendall;
-use repsim_metawalk::commuting::{count_between, informative_commuting, plain_commuting};
+use repsim_metawalk::commuting::{
+    count_between, informative_commuting, plain_commuting, try_informative_segments,
+};
 use repsim_metawalk::walk;
+use repsim_sparse::par::shard_band;
+use repsim_sparse::{Budget, Parallelism};
 use repsim_transform::reify::{CollapseRelNodes, ReifyEdges};
 use repsim_transform::verify::same_information;
 
@@ -193,4 +198,207 @@ proptest! {
         prop_assert!(s.iter().all(|&v| (0.0..=1.0 + 1e-9).contains(&v)));
         prop_assert!(total <= 1.0 + 1e-6, "mass never exceeds 1, got {}", total);
     }
+}
+
+/// A random citation-style graph for the query engine's factor chains:
+/// entity labels `a`, `b`, `c`; `a` cites `a` through `r` relationship
+/// nodes (a same-label hop whose diagonal the informative build
+/// removes), and direct `a–b`, `b–b` and `b–c` edges.
+#[derive(Debug, Clone)]
+struct ChainGraph {
+    sizes: (u8, u8, u8),
+    cites: Vec<(u8, u8)>,
+    ab: Vec<(u8, u8)>,
+    bb: Vec<(u8, u8)>,
+    bc: Vec<(u8, u8)>,
+}
+
+fn chain_graph_strategy() -> impl Strategy<Value = ChainGraph> {
+    let pairs = || prop::collection::vec((0u8..8, 0u8..8), 0..24);
+    // Few-target `a–b` and `b–c` edges make hubs, whose half matrices
+    // are denser than their segments.
+    let hubs = || prop::collection::vec((0u8..8, 0u8..2), 4..24);
+    ((1u8..8, 1u8..6, 1u8..6), pairs(), hubs(), pairs(), hubs()).prop_map(
+        |(sizes, cites, ab, bb, bc)| ChainGraph {
+            sizes,
+            cites,
+            ab,
+            bb,
+            bc,
+        },
+    )
+}
+
+fn build_chain_graph(cg: &ChainGraph) -> Graph {
+    let mut b = GraphBuilder::new();
+    let (la, lb, lc) = (
+        b.entity_label("a"),
+        b.entity_label("b"),
+        b.entity_label("c"),
+    );
+    let r = b.relationship_label("r");
+    let mk = |b: &mut GraphBuilder, l, n: u8, p: &str| -> Vec<NodeId> {
+        (0..n).map(|i| b.entity(l, &format!("{p}{i}"))).collect()
+    };
+    let a = mk(&mut b, la, cg.sizes.0, "a");
+    let bs = mk(&mut b, lb, cg.sizes.1, "b");
+    let c = mk(&mut b, lc, cg.sizes.2, "c");
+    let pick = |v: &[NodeId], i: u8| v[i as usize % v.len()];
+    for &(x, y) in &cg.cites {
+        let (x, y) = (pick(&a, x), pick(&a, y));
+        if x != y {
+            let rel = b.relationship(r);
+            b.edge(x, rel).unwrap();
+            b.edge(rel, y).unwrap();
+        }
+    }
+    for (pairs, from, to) in [(&cg.ab, &a, &bs), (&cg.bb, &bs, &bs), (&cg.bc, &bs, &c)] {
+        for &(x, y) in pairs {
+            let (x, y) = (pick(from, x), pick(to, y));
+            if x != y {
+                let _ = b.edge_dedup(x, y);
+            }
+        }
+    }
+    b.build()
+}
+
+/// A random half walk over [`ChainGraph`]'s schema, starting at `a` and
+/// `b` alternately: `hops` entity-to-entity hops chosen by `picks`,
+/// interior entities \*-marked where `stars` has the bit set. The last
+/// entity stays plain — it is the junction of the symmetric closure.
+fn random_half_walk(g: &Graph, hops: usize, picks: u64, stars: u8) -> MetaWalk {
+    use repsim_metawalk::Step;
+    let id = |name: &str| g.labels().get(name).unwrap();
+    let (a, b, c, r) = (id("a"), id("b"), id("c"), id("r"));
+    let mut cur = if picks & 1 == 0 { a } else { b };
+    let mut steps = vec![Step::entity(cur)];
+    for hop in 0..hops {
+        let choice = (picks >> (2 * hop + 1)) as usize;
+        let next: &[LabelId] = match cur {
+            l if l == a => &[a, b],
+            l if l == b => &[a, b, c],
+            _ => &[b],
+        };
+        let next = next[choice % next.len()];
+        if cur == a && next == a {
+            steps.push(Step::Rel(r));
+        }
+        let interior = hop + 1 < hops;
+        steps.push(if interior && stars & (1 << hop) != 0 {
+            Step::star(next)
+        } else {
+            Step::entity(next)
+        });
+        cur = next;
+    }
+    MetaWalk::new(steps)
+}
+
+/// Ranks `q` once under a trace sink and returns the engine.rank span's
+/// `factors` attribute: how many factors the chosen chain has.
+fn ranked_factors(engine: &QueryEngine<'_>, q: NodeId) -> u64 {
+    let sink = std::sync::Arc::new(repsim_obs::CollectSink::new());
+    let installed: std::sync::Arc<dyn repsim_obs::Sink> = sink.clone();
+    repsim_obs::install(installed.clone());
+    let _ = engine.rank_ref(q, engine.half().source(), 1);
+    repsim_obs::remove_sink(&installed);
+    sink.events()
+        .into_iter()
+        .find_map(|e| match e.kind {
+            repsim_obs::EventKind::SpanEnd {
+                name: "repsim.core.engine.rank",
+                attrs,
+                ..
+            } => attrs.into_iter().find_map(|(k, v)| match (k, v) {
+                ("factors", repsim_obs::AttrValue::U64(n)) => Some(n),
+                _ => None,
+            }),
+            _ => None,
+        })
+        .expect("engine.rank span carries a factors attribute")
+}
+
+/// The factor count the engine must pick: the half walk's segments when
+/// there is more than one and their total nnz is below `nnz(M̂_q)`, else
+/// the one-factor chain `[M̂_q]`.
+fn expected_factors(g: &Graph, half: &MetaWalk) -> u64 {
+    let segments =
+        try_informative_segments(g, half, Parallelism::serial(), &Budget::unlimited()).unwrap();
+    let chain_nnz: usize = segments.iter().map(|s| s.nnz()).sum();
+    if segments.len() > 1 && chain_nnz < informative_commuting(g, half).nnz() {
+        segments.len() as u64
+    } else {
+        1
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The engine ranks through its factor chain bit-identically to
+    /// R-PathSim over the materialized closure, on every band of every
+    /// split, whichever chain it picked — and it picks by the nnz rule.
+    #[test]
+    fn engine_factor_chain_ranks_bit_identical_to_closure(
+        cg in chain_graph_strategy(),
+        hops in 1usize..5,
+        picks in 0u64..1024,
+        stars in 0u8..16,
+    ) {
+        let _x = repsim_obs::exclusive();
+        let g = build_chain_graph(&cg);
+        let half = random_half_walk(&g, hops, picks, stars);
+        let engine = QueryEngine::new(&g, half.clone());
+        let full = RPathSim::new(&g, half.symmetric_closure());
+        let label = half.source();
+        let nodes = g.nodes_of_label(label);
+        prop_assert_eq!(ranked_factors(&engine, nodes[0]), expected_factors(&g, &half));
+        let bits = |l: &RankedList| -> Vec<(NodeId, u64)> {
+            l.entries().iter().map(|&(n, s)| (n, s.to_bits())).collect()
+        };
+        for &q in nodes {
+            for shards in 1..=3 {
+                for index in 0..shards {
+                    let band = Some(shard_band(nodes.len(), index, shards));
+                    for k in [2, usize::MAX] {
+                        prop_assert_eq!(
+                            bits(&engine.rank_band_ref(q, label, k, band)),
+                            bits(&full.rank_band(q, label, k, band)),
+                            "{} q={:?} band={:?} k={}",
+                            half.display(g.labels()),
+                            q,
+                            band,
+                            k
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The property above covers both chain choices: replaying its 64 cases
+/// (same test-name seed, same draw order), some engines rank through
+/// the segments and some through the one-factor chain `[M̂_q]`.
+#[test]
+fn engine_factor_chain_cases_take_both_choices() {
+    let _x = repsim_obs::exclusive();
+    let mut seen = [false; 2];
+    for case in 0..64 {
+        let mut rng = proptest::TestRng::deterministic(
+            "engine_factor_chain_ranks_bit_identical_to_closure",
+            case,
+        );
+        let cg = chain_graph_strategy().generate(&mut rng);
+        let hops = (1usize..5).generate(&mut rng);
+        let picks = (0u64..1024).generate(&mut rng);
+        let stars = (0u8..16).generate(&mut rng);
+        let g = build_chain_graph(&cg);
+        let half = random_half_walk(&g, hops, picks, stars);
+        let engine = QueryEngine::new(&g, half.clone());
+        let factors = ranked_factors(&engine, g.nodes_of_label(half.source())[0]);
+        seen[usize::from(factors > 1)] = true;
+    }
+    assert_eq!(seen, [true, true], "[one-factor, segments] chains seen");
 }
