@@ -26,11 +26,10 @@
 use std::time::Instant;
 
 use repsim_datasets::citations::{self, CitationConfig};
-use repsim_graph::biadjacency::biadjacency;
-use repsim_metawalk::commuting::informative_commuting_with;
+use repsim_metawalk::commuting::{informative_commuting_with, try_informative_segments};
 use repsim_metawalk::MetaWalk;
 use repsim_sparse::chain::{plan_chain, ChainStats};
-use repsim_sparse::{Accumulator, CompactMode, Parallelism};
+use repsim_sparse::{Accumulator, Budget, CompactMode, Parallelism};
 
 /// The benched meta-walk: three citation hops, each needing the
 /// informative diagonal correction — the heaviest commuting build the
@@ -109,14 +108,13 @@ fn main() {
         }
     };
 
-    // The raw biadjacency chain for the walk, to report what the DP picks.
-    let labels: Vec<_> = mw.steps().iter().map(|s| s.label()).collect();
-    let mats: Vec<_> = labels
-        .windows(2)
-        .map(|pair| biadjacency(&g, pair[0], pair[1]))
-        .collect();
-    let stats: Vec<ChainStats> = mats.iter().map(ChainStats::of).collect();
+    // The build's final join runs over the walk's segment matrices; report
+    // the order the DP picks for that chain.
+    let segments = try_informative_segments(&g, &mw, Parallelism::serial(), &Budget::unlimited())
+        .expect("unlimited segment build cannot fail");
+    let stats: Vec<ChainStats> = segments.iter().map(ChainStats::of).collect();
     let plan = plan_chain(&stats);
+    drop(segments);
 
     // Metrics-only observability: a NullSink flips recording on so the
     // SpGEMM kernel's per-phase histograms accumulate, without buffering

@@ -202,16 +202,26 @@ fn segments(
 
     let mut segments: Vec<Csr> = Vec::new();
     let mut hops: Vec<Csr> = Vec::new();
+    // A hop's matrix depends only on its label sequence (and
+    // `informative`), so a walk that repeats a hop — `paper cite paper`
+    // three times over — builds it once; a copy is kept only while a
+    // later hop still needs it.
+    let hop_labels: Vec<Vec<LabelId>> = entity_pos
+        .windows(2)
+        .map(|w| steps[w[0]..=w[1]].iter().map(|s| s.label()).collect())
+        .collect();
+    let mut built: Vec<(&[LabelId], Csr)> = Vec::new();
     let mut segment_has_star = false;
-    for w in entity_pos.windows(2) {
-        hops.push(hop_matrix(
-            g,
-            steps[w[0]..=w[1]].iter().map(|s| s.label()),
-            informative,
-            par,
-            budget,
-            arena,
-        )?);
+    for (i, w) in entity_pos.windows(2).enumerate() {
+        let labels = hop_labels[i].as_slice();
+        let m = match built.iter().position(|(seen, _)| *seen == labels) {
+            Some(j) => built.swap_remove(j).1,
+            None => hop_matrix(g, labels, informative, par, budget, arena)?,
+        };
+        if hop_labels[i + 1..].iter().any(|later| later == labels) {
+            built.push((labels, m.clone()));
+        }
+        hops.push(m);
         if steps[w[1]].is_star() {
             segment_has_star = true;
             continue;
@@ -255,13 +265,12 @@ fn chain_product(
 /// removed when the endpoint labels are equal and `informative` is set.
 fn hop_matrix(
     g: &Graph,
-    labels: impl IntoIterator<Item = LabelId>,
+    labels: &[LabelId],
     informative: bool,
     par: Parallelism,
     budget: &Budget,
     arena: &mut SpgemmArena,
 ) -> Result<Csr, ExecError> {
-    let labels: Vec<LabelId> = labels.into_iter().collect();
     debug_assert!(labels.len() >= 2);
     let mats: Vec<Csr> = labels
         .windows(2)

@@ -652,6 +652,10 @@ impl WorkerScratch {
 /// product. Buffers only ever grow; an aborted product leaves the arena
 /// immediately reusable (worker scratch is restored between rows, and
 /// the shared arrays are cleared at the start of each product).
+///
+/// The arena holds no output: the numeric phase writes each product
+/// straight into its own exact-size arrays, so an entry is stored once
+/// and the product's memory is what the budget's nnz cap admits.
 #[derive(Default)]
 pub struct SpgemmArena {
     pub(crate) workers: Vec<WorkerScratch>,
@@ -659,14 +663,6 @@ pub struct SpgemmArena {
     pub(crate) bound_ptr: Vec<usize>,
     pub(crate) row_flops: Vec<u64>,
     pub(crate) count: Vec<usize>,
-    /// Numeric-phase output staging: rows are written at their symbolic
-    /// bound offsets here, then compacted into exact-size vectors in
-    /// phase 3. Grown to the high-water product size once per chain, so
-    /// repeated products skip both the allocation and the zero-fill a
-    /// fresh `vec![0; total]` would pay.
-    pub(crate) out_cols: Vec<u32>,
-    /// Value staging parallel to `out_cols`.
-    pub(crate) out_vals: Vec<f64>,
     pub(crate) compact_row_ptr: Vec<u32>,
     pub(crate) compact_delta: Vec<u16>,
     pub(crate) compact_vals: Vec<f64>,

@@ -94,9 +94,12 @@ pub fn try_spmm_with_budget(
 /// accumulators, symbolic bounds, flop weights, and the delta-encoded
 /// operand buffers — so a chain of joins driven through one arena
 /// performs one scratch allocation per worker for the whole chain. The
-/// adaptive accumulator policy, flop-balanced banding, and automatic
-/// operand compaction all happen here; output is bit-identical for every
-/// policy, thread count, and representation (see [`crate::accum`]).
+/// output is not staged there: once the budget's nnz cap admits the
+/// symbolic size, the product's own arrays are allocated zeroed and each
+/// band's worker fills its rows in place. The adaptive accumulator
+/// policy, flop-balanced banding, and automatic operand compaction all
+/// happen here; output is bit-identical for every policy, thread count,
+/// and representation (see [`crate::accum`]).
 pub fn try_spmm_with_budget_in(
     a: &Csr,
     b: &Csr,
@@ -123,8 +126,6 @@ pub fn try_spmm_with_budget_in(
         bound_ptr,
         row_flops,
         count,
-        out_cols,
-        out_vals,
         compact_row_ptr,
         compact_delta,
         compact_vals,
@@ -207,8 +208,6 @@ pub fn try_spmm_with_budget_in(
         bound,
         bound_ptr,
         count,
-        out_cols,
-        out_vals,
     };
     let (out, tally) = if use_compact {
         let view = compact_into(b, compact_row_ptr, compact_delta, compact_vals);
@@ -245,8 +244,6 @@ struct PhaseScratch<'a> {
     bound: &'a mut Vec<usize>,
     bound_ptr: &'a mut Vec<usize>,
     count: &'a mut Vec<usize>,
-    out_cols: &'a mut Vec<u32>,
-    out_vals: &'a mut Vec<f64>,
 }
 
 /// The two-phase Gustavson engine, monomorphized over the right operand's
@@ -359,21 +356,18 @@ fn spgemm_phases<B: Operand>(
         0
     };
     let numeric_span = repsim_obs::span("repsim.sparse.spgemm.numeric");
-    // Stage rows at their bound offsets in the arena buffers — grown to
-    // the chain's high-water size once, then reused without the zero-fill
-    // a fresh allocation would pay. Phase 3 copies the exact entries out.
-    if scratch.out_cols.len() < total {
-        scratch.out_cols.resize(total, 0);
-    }
-    if scratch.out_vals.len() < total {
-        scratch.out_vals.resize(total, 0.0);
-    }
+    // Rows are written at their bound offsets straight into the product's
+    // own arrays. `vec![0; n]` allocates zeroed pages the OS has not yet
+    // touched, so each worker first-touches only its own band and no
+    // serial fill pass runs.
+    let mut col_idx = vec![0u32; total];
+    let mut values = vec![0.0f64; total];
     scratch.count.clear();
     scratch.count.resize(nrows, 0);
     let mut tallies = vec![NumericTally::default(); bands.len()];
     {
-        let mut col_rest = &mut scratch.out_cols[..total];
-        let mut val_rest = &mut scratch.out_vals[..total];
+        let mut col_rest = col_idx.as_mut_slice();
+        let mut val_rest = values.as_mut_slice();
         let mut cnt_rest = scratch.count.as_mut_slice();
         let mut err_rest = errs.as_mut_slice();
         let mut tally_rest = tallies.as_mut_slice();
@@ -462,35 +456,26 @@ fn spgemm_phases<B: Operand>(
         tally.absorb(*t);
     }
 
-    // Phase 3 — compact: copy the staged rows out of the arena into
-    // exact-size vectors, closing any cancellation gaps. Contiguous runs
-    // of gap-free rows are coalesced into single memcpys.
+    // Phase 3 — close cancellation gaps in place. Rows only move left, so
+    // `copy_within` in row order never overwrites an unread entry; when no
+    // entry cancelled (every non-negative walk count), nothing moves and
+    // the arrays already are the CSR.
     let mut row_ptr = Vec::with_capacity(nrows + 1);
     row_ptr.push(0);
     let mut nnz_out = 0usize;
-    // audit:allow(RA0101, prefix sum over per-row counts of the admitted product)
-    for r in 0..nrows {
-        nnz_out += scratch.count[r];
+    // audit:allow(RA0101, in-place compaction of entries already admitted by check_alloc)
+    for (&src, &n) in bound_ptr[..nrows].iter().zip(scratch.count.iter()) {
+        if src != nnz_out {
+            col_idx.copy_within(src..src + n, nnz_out);
+            values.copy_within(src..src + n, nnz_out);
+        }
+        nnz_out += n;
         row_ptr.push(nnz_out);
     }
-    let mut col_idx = Vec::with_capacity(nnz_out);
-    let mut values = Vec::with_capacity(nnz_out);
-    let mut run_start = 0usize;
-    let mut run_len = 0usize;
-    // audit:allow(RA0101, memcpy compaction of entries already admitted by check_alloc)
-    for (&src, &n) in bound_ptr[..nrows].iter().zip(&scratch.count[..nrows]) {
-        if src == run_start + run_len {
-            run_len += n;
-        } else {
-            col_idx.extend_from_slice(&scratch.out_cols[run_start..run_start + run_len]);
-            values.extend_from_slice(&scratch.out_vals[run_start..run_start + run_len]);
-            run_start = src;
-            run_len = n;
-        }
-    }
-    col_idx.extend_from_slice(&scratch.out_cols[run_start..run_start + run_len]);
-    values.extend_from_slice(&scratch.out_vals[run_start..run_start + run_len]);
-    debug_assert_eq!(col_idx.len(), nnz_out);
+    col_idx.truncate(nnz_out);
+    col_idx.shrink_to_fit();
+    values.truncate(nnz_out);
+    values.shrink_to_fit();
     Ok((
         Csr::from_parts(nrows, ncols, row_ptr, col_idx, values),
         tally,

@@ -18,7 +18,7 @@
 use proptest::prelude::*;
 use repsim_sparse::chain::{spmm_chain_with_threads, try_spmm_chain_with_budget};
 use repsim_sparse::ops::{spmm, spmm_chain, try_spmm_with_budget};
-use repsim_sparse::par::spmm_par;
+use repsim_sparse::par::{spmm_par, weighted_chunks};
 use repsim_sparse::{
     set_accumulator, set_compact_mode, Accumulator, Budget, CompactMode, Csr, CsrCompact, ExecError,
 };
@@ -278,6 +278,110 @@ proptest! {
                 "unexpected error {:?}",
                 e
             ),
+        }
+    }
+}
+
+/// Exact cancellation inside a multi-band product: the numeric phase
+/// writes each row at its symbolic bound, so every row that cancels
+/// leaves a gap the in-place compaction must close while later bands'
+/// rows move left past it. The operands pair up `b` rows `2j` and
+/// `2j+1` that share columns with equal values; an `a` row of
+/// `(+1, -1)` over a pair cancels the shared columns (all of them for
+/// the identical pairs, `j % 3 == 2`), while `(+1, +2)` cancels nothing.
+/// The first and last row of every band at every thread count cancels.
+#[test]
+fn in_place_compaction_closes_gaps_across_bands() {
+    let (ncols, pairs, nrows) = (300usize, 24usize, 90usize);
+    let mut b_trips = Vec::new();
+    for j in 0..pairs {
+        let len = if j % 4 == 0 { 12 } else { 120 };
+        for i in 0..len {
+            let c = ((j * 5 + 2 * i) % ncols) as u32;
+            let v = (i % 5 + 1) as f64;
+            b_trips.push((2 * j as u32, c, v));
+            b_trips.push((2 * j as u32 + 1, c, v));
+        }
+        if j % 3 != 2 {
+            for i in 0..len {
+                let c = ((j * 5 + 2 * i + 1) % ncols) as u32;
+                let row = if i < len / 2 { 2 * j } else { 2 * j + 1 };
+                b_trips.push((row as u32, c, (i % 3 + 1) as f64));
+            }
+        }
+    }
+    let b = Csr::from_triplets(2 * pairs, ncols, b_trips);
+    // The kernel runs one band below 4096 stored entries in either operand.
+    assert!(b.nnz() >= 4096, "b must be large enough to band");
+
+    let pair_of = |r: usize| (r * 7) % pairs;
+    let flops: Vec<u64> = (0..nrows)
+        .map(|r| {
+            let j = pair_of(r);
+            (b.row(2 * j).0.len() + b.row(2 * j + 1).0.len()) as u64
+        })
+        .collect();
+    let bands_for = |threads: usize| weighted_chunks(&flops, threads);
+    let mut cancels = vec![false; nrows];
+    for threads in [1usize, 2, 3] {
+        let bands = bands_for(threads);
+        assert_eq!(bands.len(), threads);
+        for &(lo, hi) in &bands {
+            cancels[lo] = true;
+            cancels[hi - 1] = true;
+        }
+    }
+    for (r, c) in cancels.iter_mut().enumerate() {
+        *c |= r % 2 == 0;
+    }
+    let mut a_trips = Vec::new();
+    for (r, &cancel) in cancels.iter().enumerate() {
+        let j = pair_of(r) as u32;
+        a_trips.push((r as u32, 2 * j, 1.0));
+        a_trips.push((r as u32, 2 * j + 1, if cancel { -1.0 } else { 2.0 }));
+    }
+    let a = Csr::from_triplets(nrows, 2 * pairs, a_trips);
+    let reference = dense_reference(&a, &b);
+    // The symbolic bound of row r: the distinct columns of its pair.
+    let bound = |r: usize| {
+        let j = pair_of(r);
+        let mut cols: Vec<u32> = b.row(2 * j).0.to_vec();
+        cols.extend_from_slice(b.row(2 * j + 1).0);
+        cols.sort_unstable();
+        cols.dedup();
+        cols.len()
+    };
+    for (r, &cancel) in cancels.iter().enumerate() {
+        assert_eq!(reference.row(r).0.len() < bound(r), cancel, "row {r}");
+    }
+
+    for policy in [
+        Accumulator::Dense,
+        Accumulator::Sparse,
+        Accumulator::Adaptive,
+    ] {
+        for mode in [CompactMode::Off, CompactMode::On] {
+            for threads in [1usize, 2, 3] {
+                set_accumulator(policy);
+                set_compact_mode(mode);
+                let got = spmm_par(&a, &b, threads);
+                set_accumulator(Accumulator::Adaptive);
+                set_compact_mode(CompactMode::Auto);
+                let ctx = format!("{policy:?}/{mode:?}/threads={threads}");
+                assert_eq!(got.validate(), Ok(()), "{ctx}");
+                let stored: usize = (0..nrows).map(|r| got.row(r).0.len()).sum();
+                assert_eq!(stored, got.nnz(), "{ctx}: row_ptr[n] != col_idx.len()");
+                assert_eq!(got.nnz(), reference.nnz(), "{ctx}");
+                for r in 0..nrows {
+                    let (gc, gv) = got.row(r);
+                    let (rc, rv) = reference.row(r);
+                    assert_eq!(gc, rc, "{ctx} row {r}");
+                    for (x, y) in gv.iter().zip(rv) {
+                        assert_ne!(*x, 0.0, "{ctx} row {r}: stored zero");
+                        assert_eq!(x.to_bits(), y.to_bits(), "{ctx} row {r}");
+                    }
+                }
+            }
         }
     }
 }
